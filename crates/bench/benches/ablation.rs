@@ -11,7 +11,7 @@
 //! Run with: `cargo bench -p ccl-bench --bench ablation`
 
 use ccl_apps::App;
-use ccl_bench::{mb, median_recovery_secs, run_paper, secs, NODES};
+use ccl_bench::{mb, run_paper, run_paper_with_crash, secs, NODES};
 use ccl_core::{run_program, ClusterSpec, Protocol};
 
 fn a1_overlap() {
@@ -39,6 +39,15 @@ fn a1_overlap() {
     println!("{:-<78}", "");
 }
 
+/// Recovery time of one crash run. The virtual-time scheduler makes it
+/// a pure function of the spec, so a single run is the measurement.
+fn recovery_secs(app: App, protocol: Protocol) -> f64 {
+    run_paper_with_crash(app, protocol, 0.75)
+        .recovery_time()
+        .expect("recovery completed")
+        .as_secs_f64()
+}
+
 fn a2_prefetch() {
     println!();
     println!("A2. CCL recovery prefetching (crash at ~75% of barriers)");
@@ -49,8 +58,8 @@ fn a2_prefetch() {
     );
     println!("{:-<78}", "");
     for app in App::ALL {
-        let t_with = median_recovery_secs(app, Protocol::Ccl, 0.75, 3);
-        let t_without = median_recovery_secs(app, Protocol::CclNoPrefetch, 0.75, 3);
+        let t_with = recovery_secs(app, Protocol::Ccl);
+        let t_without = recovery_secs(app, Protocol::CclNoPrefetch);
         println!(
             "{:<10} {:>19.3}s {:>23.3}s {:>18.2}",
             app.name(),

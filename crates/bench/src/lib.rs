@@ -1,14 +1,15 @@
 //! # ccl-bench — experiment harness
 //!
-//! Shared plumbing for the bench targets that regenerate every table and
-//! figure of the paper's evaluation section (run `cargo bench`):
+//! Shared plumbing for the bench targets that print the evaluation
+//! tables the `report` binary (crate `obsv`) does not generate:
 //!
 //! * `table1` — application characteristics,
-//! * `table2` — overhead details per logging protocol,
-//! * `fig4`   — normalized failure-free execution time,
-//! * `fig5`   — normalized crash-recovery time,
 //! * `ablation` — design-choice ablations (overlap, prefetch, page size),
-//! * `micro`  — Criterion micro-benchmarks of the substrate operations.
+//! * `homeless` — home-based vs homeless LRC (§2's motivation),
+//! * `related_work` — records-only and RSL logging on the home-based DSM.
+//!
+//! Table 2 and Figures 4/5 come from `report` alone, and host time is
+//! measured by the standalone `perfbench` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,22 +40,6 @@ pub fn run_paper_with_crash(app: App, protocol: Protocol, fraction: f64) -> RunO
     run_program(spec, move |dsm| app.run_paper(dsm))
 }
 
-/// Median recovery time (seconds) over `trials` crash runs: recovery
-/// timing depends on how far the survivors happened to run ahead before
-/// blocking, which varies between (real-time) executions.
-pub fn median_recovery_secs(app: App, protocol: Protocol, fraction: f64, trials: usize) -> f64 {
-    let mut times: Vec<f64> = (0..trials)
-        .map(|_| {
-            run_paper_with_crash(app, protocol, fraction)
-                .recovery_time()
-                .expect("recovery completed")
-                .as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
 /// Seconds with three decimals.
 pub fn secs(t: ccl_core::SimTime) -> String {
     format!("{:.3}", t.as_secs_f64())
@@ -70,12 +55,6 @@ pub fn mb(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / (1024.0 * 1024.0))
 }
 
-/// Render one horizontal bar for the normalized-time figures.
-pub fn bar(percent: f64) -> String {
-    let ticks = (percent / 2.0).round().max(0.0) as usize;
-    "#".repeat(ticks.min(80))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,7 +63,5 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(kb(2048.0), "2.0");
         assert_eq!(mb(3 * 1024 * 1024), "3.00");
-        assert_eq!(bar(100.0).len(), 50);
-        assert_eq!(bar(0.0), "");
     }
 }

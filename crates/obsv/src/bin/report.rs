@@ -12,12 +12,13 @@
 //!   `crates/obsv/smoke_baseline.json` and never touches the paper
 //!   artifacts.
 //! * `--bless`        (re)write the baseline for the chosen scale with
-//!   this run's values and the default tolerance annotations.
+//!   this run's values.
 //! * `--out PATH`     also write the report JSON document to `PATH`.
 //! * `--trace PATH`   also export the 3D-FFT/CCL run as a Chrome-trace
 //!   file loadable at <https://ui.perfetto.dev>.
 //!
-//! At paper scale (gate pass or `--bless`) the Table 2 / Figure 4 /
+//! Every field of the record must equal the baseline's exactly. At
+//! paper scale (gate pass or `--bless`) the Table 2 / Figure 4 /
 //! Figure 5 tables in `EXPERIMENTS.md` are regenerated in place between
 //! their `<!-- report:* -->` markers.
 //!
@@ -31,8 +32,8 @@ use ccl_apps::App;
 use ccl_core::Protocol;
 use obsv::json;
 use obsv::report::{
-    baseline_json, blame_markdown, compare, fig4_markdown, fig5_markdown, parse_tolerances,
-    report_json, splice, table2_markdown, traffic_markdown, Report, Scale,
+    blame_markdown, compare, fig4_markdown, fig5_markdown, report_json, splice, table2_markdown,
+    traffic_markdown, Report, Scale,
 };
 
 struct Args {
@@ -163,8 +164,7 @@ fn run() -> Result<ExitCode, String> {
 
     let baseline_file = baseline_path(scale);
     if args.bless {
-        let rules = obsv::report::default_tolerances();
-        write(&baseline_file, &baseline_json(&report, &rules).pretty())?;
+        write(&baseline_file, &doc.pretty())?;
         eprintln!("baseline blessed: {}", baseline_file.display());
         if scale == Scale::Paper {
             regenerate_experiments(&report)?;
@@ -180,14 +180,12 @@ fn run() -> Result<ExitCode, String> {
     })?;
     let baseline = json::parse(&baseline_text)
         .map_err(|e| format!("parsing {}: {e}", baseline_file.display()))?;
-    let rules = parse_tolerances(&baseline);
-    let result = compare(&doc, &baseline, &rules);
+    let result = compare(&doc, &baseline);
     if result.passed() {
         eprintln!(
-            "gate passed: {} fields compared against {}, {} ignored under annotations",
+            "gate passed: {} fields compared exactly against {}",
             result.compared,
             baseline_file.display(),
-            result.ignored,
         );
         if scale == Scale::Paper {
             regenerate_experiments(&report)?;

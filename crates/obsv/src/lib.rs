@@ -14,8 +14,7 @@
 //! * [`report`] — the paper-artifact pipeline: run the full evaluation
 //!   matrix, emit the Table 2 / Figure 4 / Figure 5 Markdown (spliced
 //!   into `EXPERIMENTS.md`), and gate the machine-readable report
-//!   against a committed baseline with explicit, reasoned tolerance
-//!   annotations for the few legitimately nondeterministic fields.
+//!   against a committed baseline, every field exactly.
 //!
 //! The `report` binary (`cargo run --release -p obsv --bin report`)
 //! drives all three.

@@ -5,17 +5,15 @@
 //! scenario — and turns the results into three artifacts:
 //!
 //! 1. a machine-readable report document ([`report_json`]) whose
-//!    deterministic fields (digests, log bytes, flush counts, message
-//!    counts, trace fingerprints) are bit-stable run to run,
+//!    fields (digests, log bytes, flush counts, message counts, trace
+//!    fingerprints, recovery times) are bit-stable run to run,
 //! 2. Markdown tables for the paper's Table 2 / Figure 4 / Figure 5,
 //!    spliced into `EXPERIMENTS.md` between `<!-- report:* -->` markers,
 //! 3. a regression verdict ([`compare`]) against a committed baseline:
 //!    every field must match exactly. The conservative virtual-time
 //!    scheduler (DESIGN.md §12) makes the whole matrix — Water's
 //!    lock-heavy schedule and crash-recovery timing included — a pure
-//!    function of the spec, so the tolerance annotations the baseline
-//!    used to carry are gone; the annotation machinery remains for any
-//!    future genuinely wall-clock measurement.
+//!    function of the spec, so there is nothing to tolerate.
 
 use ccl_apps::App;
 use ccl_core::{run_program, ClusterSpec, CrashPlan, NodeMetrics, Protocol, RunOutput};
@@ -57,14 +55,6 @@ impl Scale {
         }
     }
 
-    /// Crash-recovery trials. One at either scale: the conservative
-    /// virtual-time scheduler makes recovery timing a pure function of
-    /// the spec, so repeated trials return the same number (detcheck
-    /// verifies exactly that) and a median would be waste.
-    pub fn trials(self) -> usize {
-        1
-    }
-
     /// The cluster spec for `app` under `protocol` at this scale
     /// (shared with the `detcheck` determinism gate).
     pub fn spec(self, app: App, protocol: Protocol) -> ClusterSpec {
@@ -78,11 +68,7 @@ impl Scale {
 
     /// Run `app` under `protocol` failure-free at this scale.
     pub fn run(self, app: App, protocol: Protocol) -> RunOutput<u64> {
-        let spec = self.spec(app, protocol);
-        match self {
-            Scale::Paper => run_program(spec, move |dsm| app.run_paper(dsm)),
-            Scale::Smoke => run_program(spec, move |dsm| app.run_tiny(dsm)),
-        }
+        self.launch(app, self.spec(app, protocol))
     }
 
     /// Run `app` under `protocol` with node 1 crashing after its
@@ -96,6 +82,11 @@ impl Scale {
         let spec = self
             .spec(app, protocol)
             .with_crash(CrashPlan::new(1, after_barriers));
+        self.launch(app, spec)
+    }
+
+    /// Run `app`'s workload at this scale on an arbitrary `spec`.
+    fn launch(self, app: App, spec: ClusterSpec) -> RunOutput<u64> {
         match self {
             Scale::Paper => run_program(spec, move |dsm| app.run_paper(dsm)),
             Scale::Smoke => run_program(spec, move |dsm| app.run_tiny(dsm)),
@@ -223,14 +214,34 @@ pub fn blame_summary(blame: &crate::blame::Blame) -> BlameSummary {
 pub struct RecoveryRecord {
     /// Node 1's crash point, in completed barriers.
     pub crash_after_barriers: u64,
-    /// Trials the medians were taken over.
-    pub trials: usize,
     /// Re-execution baseline: the clean run scaled to the crash point.
     pub reexec_ns: u64,
-    /// Median ML recovery time (ns).
+    /// ML recovery time (ns).
     pub ml_ns: u64,
-    /// Median CCL recovery time (ns).
+    /// CCL recovery time (ns).
     pub ccl_ns: u64,
+}
+
+/// The application whose fetch-hiding win the report records: the
+/// most remote-data-bound of the four (DESIGN.md §15).
+const FETCH_ABLATION_APP: App = App::Fft3d;
+
+/// The protocols whose fetch-hiding win the report records. ML's
+/// default prefetch depth is already 0, so its ablated run would equal
+/// its Table 2 run.
+const FETCH_ABLATION_PROTOCOLS: [Protocol; 2] = [Protocol::None, Protocol::Ccl];
+
+/// One 3D-FFT run with the fetch-hiding machinery ablated (prefetch
+/// depth 0, static homes): the stop-and-wait protocol the Table 2 run
+/// of the same protocol is measured against.
+#[derive(Debug, Clone)]
+pub struct AblatedRun {
+    /// The protocol this run used.
+    pub protocol: Protocol,
+    /// Application digest (must equal the Table 2 run's).
+    pub digest: u64,
+    /// Virtual execution time in nanoseconds.
+    pub exec_ns: u64,
 }
 
 /// One application's slice of the report.
@@ -251,9 +262,13 @@ pub struct Report {
     pub scale: Scale,
     /// All four applications, in `App::ALL` order.
     pub apps: Vec<AppReport>,
+    /// The fetch-hiding ablation: 3D-FFT under None, then CCL.
+    pub fetch_ablation: Vec<AblatedRun>,
 }
 
-fn record(scale: Scale, app: App, protocol: Protocol) -> RunRecord {
+/// Run `app` under `protocol` failure-free at `scale` and keep what the
+/// report records of it.
+pub fn run_record(scale: Scale, app: App, protocol: Protocol) -> RunRecord {
     let out = scale.run(app, protocol);
     let total = out.total_stats();
     let analysis = crate::blame::analyze(&out);
@@ -280,18 +295,26 @@ fn record(scale: Scale, app: App, protocol: Protocol) -> RunRecord {
     }
 }
 
-fn median_recovery_ns(scale: Scale, app: App, protocol: Protocol, at: u64) -> u64 {
-    let mut times: Vec<u64> = (0..scale.trials())
-        .map(|_| {
-            scale
-                .run_with_crash(app, protocol, at)
-                .recovery_time()
-                .expect("crash run completed recovery")
-                .as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
+fn recovery_ns(scale: Scale, app: App, protocol: Protocol, at: u64) -> u64 {
+    scale
+        .run_with_crash(app, protocol, at)
+        .recovery_time()
+        .expect("crash run completed recovery")
+        .as_nanos()
+}
+
+fn ablated_run(scale: Scale, protocol: Protocol) -> AblatedRun {
+    let app = FETCH_ABLATION_APP;
+    let spec = scale
+        .spec(app, protocol)
+        .with_prefetch_depth(0)
+        .with_adaptive_migration(false);
+    let out = scale.launch(app, spec);
+    AblatedRun {
+        protocol,
+        digest: out.nodes[0].result,
+        exec_ns: out.exec_time().as_nanos(),
+    }
 }
 
 /// Run the full matrix at `scale`.
@@ -300,7 +323,7 @@ pub fn collect(scale: Scale) -> Report {
     for app in App::ALL {
         let runs: Vec<RunRecord> = Protocol::TABLE2
             .iter()
-            .map(|p| record(scale, app, *p))
+            .map(|p| run_record(scale, app, *p))
             .collect();
         let none = &runs[0];
         let barriers = none.barriers_node1;
@@ -308,10 +331,9 @@ pub fn collect(scale: Scale) -> Report {
             ((barriers as f64 * CRASH_FRACTION) as u64).clamp(1, barriers.saturating_sub(1).max(1));
         let recovery = RecoveryRecord {
             crash_after_barriers: at,
-            trials: scale.trials(),
             reexec_ns: (none.exec_ns as f64 * CRASH_FRACTION) as u64,
-            ml_ns: median_recovery_ns(scale, app, Protocol::Ml, at),
-            ccl_ns: median_recovery_ns(scale, app, Protocol::Ccl, at),
+            ml_ns: recovery_ns(scale, app, Protocol::Ml, at),
+            ccl_ns: recovery_ns(scale, app, Protocol::Ccl, at),
         };
         apps.push(AppReport {
             app,
@@ -319,7 +341,15 @@ pub fn collect(scale: Scale) -> Report {
             recovery,
         });
     }
-    Report { scale, apps }
+    let fetch_ablation = FETCH_ABLATION_PROTOCOLS
+        .iter()
+        .map(|p| ablated_run(scale, *p))
+        .collect();
+    Report {
+        scale,
+        apps,
+        fetch_ablation,
+    }
 }
 
 fn hist_json(metrics: &NodeMetrics) -> Json {
@@ -337,6 +367,59 @@ fn hist_json(metrics: &NodeMetrics) -> Json {
     hists
 }
 
+/// One failure-free run's entry in the report document
+/// (`apps.<app>.runs.<protocol>`).
+pub fn run_json(r: &RunRecord) -> Json {
+    let mut j = Json::obj();
+    j.set("digest", Json::from_hex(r.digest));
+    j.set("exec_ns", Json::from_u64(r.exec_ns));
+    j.set("log_bytes", Json::from_u64(r.log_bytes));
+    j.set("log_flushes", Json::from_u64(r.log_flushes));
+    j.set("msgs_sent", Json::from_u64(r.msgs_sent));
+    j.set("bytes_sent", Json::from_u64(r.bytes_sent));
+    j.set("barriers_node1", Json::from_u64(r.barriers_node1));
+    j.set("trace_events", Json::from_u64(r.trace_events));
+    j.set("trace_dropped", Json::from_u64(r.trace_dropped));
+    j.set("trace_fp", Json::from_hex(r.trace_fp));
+    let b = &r.blame;
+    let mut bj = Json::obj();
+    bj.set("top_object", Json::Str(b.top_object.clone()));
+    bj.set("cp_compute_ns", Json::from_u64(b.cp_compute_ns));
+    bj.set("cp_recovery_ns", Json::from_u64(b.cp_recovery_ns));
+    bj.set("cp_wait_page_ns", Json::from_u64(b.cp_wait_page_ns));
+    bj.set("cp_wait_lock_ns", Json::from_u64(b.cp_wait_lock_ns));
+    bj.set("cp_wait_barrier_ns", Json::from_u64(b.cp_wait_barrier_ns));
+    bj.set("cp_wait_flush_ns", Json::from_u64(b.cp_wait_flush_ns));
+    bj.set("log_page_bytes", Json::from_u64(b.log_page_bytes));
+    bj.set("log_lock_bytes", Json::from_u64(b.log_lock_bytes));
+    bj.set("log_barrier_bytes", Json::from_u64(b.log_barrier_bytes));
+    bj.set("log_meta_bytes", Json::from_u64(b.log_meta_bytes));
+    bj.set("unflushed_bytes", Json::from_u64(b.unflushed_bytes));
+    j.set("blame", bj);
+    let mut tr = Json::obj();
+    for (k, &(msgs, bytes)) in r.traffic.iter().enumerate() {
+        if msgs == 0 && bytes == 0 {
+            continue;
+        }
+        let mut t = Json::obj();
+        t.set("msgs", Json::from_u64(msgs));
+        t.set("bytes", Json::from_u64(bytes));
+        tr.set(ccl_core::kind_label(k), t);
+    }
+    j.set("traffic", tr);
+    let mut pf = Json::obj();
+    pf.set("issued", Json::from_u64(r.prefetch.issued));
+    pf.set("hits", Json::from_u64(r.prefetch.hits));
+    pf.set("wasted", Json::from_u64(r.prefetch.wasted));
+    pf.set(
+        "home_migrations",
+        Json::from_u64(r.prefetch.home_migrations),
+    );
+    j.set("prefetch", pf);
+    j.set("hist", hist_json(&r.metrics));
+    j
+}
+
 /// Render the report as its JSON document. Object keys are semantic
 /// (application names, protocol labels) so baseline-diff paths like
 /// `apps.Water.runs.ccl.exec_ns` stay stable as the matrix grows.
@@ -350,61 +433,13 @@ pub fn report_json(report: &Report) -> Json {
     for a in &report.apps {
         let mut runs = Json::obj();
         for r in &a.runs {
-            let mut j = Json::obj();
-            j.set("digest", Json::from_hex(r.digest));
-            j.set("exec_ns", Json::from_u64(r.exec_ns));
-            j.set("log_bytes", Json::from_u64(r.log_bytes));
-            j.set("log_flushes", Json::from_u64(r.log_flushes));
-            j.set("msgs_sent", Json::from_u64(r.msgs_sent));
-            j.set("bytes_sent", Json::from_u64(r.bytes_sent));
-            j.set("barriers_node1", Json::from_u64(r.barriers_node1));
-            j.set("trace_events", Json::from_u64(r.trace_events));
-            j.set("trace_dropped", Json::from_u64(r.trace_dropped));
-            j.set("trace_fp", Json::from_hex(r.trace_fp));
-            let b = &r.blame;
-            let mut bj = Json::obj();
-            bj.set("top_object", Json::Str(b.top_object.clone()));
-            bj.set("cp_compute_ns", Json::from_u64(b.cp_compute_ns));
-            bj.set("cp_recovery_ns", Json::from_u64(b.cp_recovery_ns));
-            bj.set("cp_wait_page_ns", Json::from_u64(b.cp_wait_page_ns));
-            bj.set("cp_wait_lock_ns", Json::from_u64(b.cp_wait_lock_ns));
-            bj.set("cp_wait_barrier_ns", Json::from_u64(b.cp_wait_barrier_ns));
-            bj.set("cp_wait_flush_ns", Json::from_u64(b.cp_wait_flush_ns));
-            bj.set("log_page_bytes", Json::from_u64(b.log_page_bytes));
-            bj.set("log_lock_bytes", Json::from_u64(b.log_lock_bytes));
-            bj.set("log_barrier_bytes", Json::from_u64(b.log_barrier_bytes));
-            bj.set("log_meta_bytes", Json::from_u64(b.log_meta_bytes));
-            bj.set("unflushed_bytes", Json::from_u64(b.unflushed_bytes));
-            j.set("blame", bj);
-            let mut tr = Json::obj();
-            for (k, &(msgs, bytes)) in r.traffic.iter().enumerate() {
-                if msgs == 0 && bytes == 0 {
-                    continue;
-                }
-                let mut t = Json::obj();
-                t.set("msgs", Json::from_u64(msgs));
-                t.set("bytes", Json::from_u64(bytes));
-                tr.set(ccl_core::kind_label(k), t);
-            }
-            j.set("traffic", tr);
-            let mut pf = Json::obj();
-            pf.set("issued", Json::from_u64(r.prefetch.issued));
-            pf.set("hits", Json::from_u64(r.prefetch.hits));
-            pf.set("wasted", Json::from_u64(r.prefetch.wasted));
-            pf.set(
-                "home_migrations",
-                Json::from_u64(r.prefetch.home_migrations),
-            );
-            j.set("prefetch", pf);
-            j.set("hist", hist_json(&r.metrics));
-            runs.set(r.protocol.label(), j);
+            runs.set(r.protocol.label(), run_json(r));
         }
         let mut rec = Json::obj();
         rec.set(
             "crash_after_barriers",
             Json::from_u64(a.recovery.crash_after_barriers),
         );
-        rec.set("trials", Json::from_u64(a.recovery.trials as u64));
         rec.set("reexec_ns", Json::from_u64(a.recovery.reexec_ns));
         rec.set("ml_ns", Json::from_u64(a.recovery.ml_ns));
         rec.set("ccl_ns", Json::from_u64(a.recovery.ccl_ns));
@@ -414,6 +449,17 @@ pub fn report_json(report: &Report) -> Json {
         apps.set(a.app.name(), entry);
     }
     doc.set("apps", apps);
+    let mut ablation = Json::obj();
+    ablation.set("app", Json::Str(FETCH_ABLATION_APP.name().to_string()));
+    let mut runs = Json::obj();
+    for r in &report.fetch_ablation {
+        let mut j = Json::obj();
+        j.set("digest", Json::from_hex(r.digest));
+        j.set("exec_ns", Json::from_u64(r.exec_ns));
+        runs.set(r.protocol.label(), j);
+    }
+    ablation.set("runs", runs);
+    doc.set("fetch_ablation", ablation);
     doc
 }
 
@@ -649,124 +695,11 @@ pub fn splice(doc: &str, name: &str, replacement: &str) -> Result<String, String
 // Regression gate
 // ---------------------------------------------------------------------------
 
-/// How a baseline field may differ from the current run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Band {
-    /// Relative tolerance in percent of the baseline value.
-    Pct(f64),
-    /// Not compared at all (value varies run to run).
-    Ignore,
-}
-
-/// One tolerance annotation: which field(s), how much slack, and the
-/// recorded reason. Fields with no matching annotation must match the
-/// baseline exactly.
-#[derive(Debug, Clone)]
-pub struct Tolerance {
-    /// Dotted path pattern: `*` matches one segment, a trailing `**`
-    /// matches any remainder (`apps.Water.runs.ccl.hist.**`).
-    pub path: String,
-    /// The allowed deviation.
-    pub band: Band,
-    /// Why this field is allowed to vary (recorded in the baseline).
-    pub why: String,
-}
-
-/// The tolerance set a freshly blessed baseline is annotated with:
-/// **empty** — every field compares exactly.
-///
-/// The annotations this set used to carry (Water's ~20–30% `exec_ns`
-/// swing from physical lock-arrival order, MG's ±0.01% ack-timing
-/// nudge from physical flush arrival, and crash-recovery timing that
-/// depended on how far survivors ran ahead) all rooted in the router
-/// delivering messages in physical arrival order. The conservative
-/// virtual-time scheduler delivers in `(arrival, src, seq)` order
-/// (DESIGN.md §12), which makes lock grants, flush service, and
-/// recovery progress pure functions of virtual time — so the bands are
-/// gone, not widened. The `Band`/path machinery stays: a future
-/// genuinely physical measurement (e.g. wall-clock overhead) can
-/// re-annotate itself, with a recorded reason, without rebuilding it.
-pub fn default_tolerances() -> Vec<Tolerance> {
-    Vec::new()
-}
-
-/// Serialize tolerances for embedding in a baseline document.
-pub fn tolerances_json(rules: &[Tolerance]) -> Json {
-    Json::Arr(
-        rules
-            .iter()
-            .map(|t| {
-                let mut j = Json::obj();
-                j.set("path", Json::Str(t.path.clone()));
-                match t.band {
-                    Band::Pct(p) => {
-                        j.set("kind", Json::Str("pct".to_string()));
-                        j.set("pct", Json::Num(p));
-                    }
-                    Band::Ignore => {
-                        j.set("kind", Json::Str("ignore".to_string()));
-                    }
-                }
-                j.set("why", Json::Str(t.why.clone()));
-                j
-            })
-            .collect(),
-    )
-}
-
-/// Read the tolerance annotations out of a baseline document; falls
-/// back to [`default_tolerances`] when the baseline has none.
-pub fn parse_tolerances(baseline: &Json) -> Vec<Tolerance> {
-    let Some(items) = baseline.get("tolerances").and_then(|t| t.as_arr()) else {
-        return default_tolerances();
-    };
-    items
-        .iter()
-        .filter_map(|item| {
-            let path = item.get("path")?.as_str()?.to_string();
-            let band = match item.get("kind")?.as_str()? {
-                "ignore" => Band::Ignore,
-                "pct" => Band::Pct(item.get("pct")?.as_f64()?),
-                _ => return None,
-            };
-            let why = item
-                .get("why")
-                .and_then(|w| w.as_str())
-                .unwrap_or("")
-                .to_string();
-            Some(Tolerance { path, band, why })
-        })
-        .collect()
-}
-
-fn path_matches(pattern: &str, path: &str) -> bool {
-    let pat: Vec<&str> = pattern.split('.').collect();
-    let segs: Vec<&str> = path.split('.').collect();
-    fn rec(pat: &[&str], segs: &[&str]) -> bool {
-        match (pat.first(), segs.first()) {
-            (None, None) => true,
-            (Some(&"**"), _) => true,
-            (Some(&p), Some(&s)) if p == "*" || p == s => rec(&pat[1..], &segs[1..]),
-            _ => false,
-        }
-    }
-    rec(&pat, &segs)
-}
-
-fn find_band<'a>(rules: &'a [Tolerance], path: &str) -> Option<&'a Band> {
-    rules
-        .iter()
-        .find(|t| path_matches(&t.path, path))
-        .map(|t| &t.band)
-}
-
 /// Outcome of one gate run.
 #[derive(Debug, Default)]
 pub struct GateResult {
-    /// Fields compared (exactly or within a band).
+    /// Leaf fields compared.
     pub compared: usize,
-    /// Fields skipped under an `ignore` annotation.
-    pub ignored: usize,
     /// Human-readable violations; empty means the gate passed.
     pub violations: Vec<String>,
 }
@@ -778,11 +711,11 @@ impl GateResult {
     }
 }
 
-/// Compare `current` against `baseline` under `rules`. The baseline's
-/// top-level `tolerances` member is metadata, not data, and is skipped.
-pub fn compare(current: &Json, baseline: &Json, rules: &[Tolerance]) -> GateResult {
+/// Compare `current` against `baseline`: every leaf must be equal, and
+/// both documents must have the same set of fields.
+pub fn compare(current: &Json, baseline: &Json) -> GateResult {
     let mut result = GateResult::default();
-    walk(current, baseline, rules, "", &mut result);
+    walk(current, baseline, "", &mut result);
     result
 }
 
@@ -790,24 +723,17 @@ fn note(result: &mut GateResult, path: &str, msg: String) {
     result.violations.push(format!("{path}: {msg}"));
 }
 
-fn walk(current: &Json, baseline: &Json, rules: &[Tolerance], path: &str, result: &mut GateResult) {
-    if let Some(Band::Ignore) = find_band(rules, path) {
-        result.ignored += 1;
-        return;
-    }
+fn walk(current: &Json, baseline: &Json, path: &str, result: &mut GateResult) {
     match (current, baseline) {
         (Json::Obj(cur), Json::Obj(base)) => {
             for (k, bv) in base {
-                if path.is_empty() && k == "tolerances" {
-                    continue;
-                }
                 let child = if path.is_empty() {
                     k.clone()
                 } else {
                     format!("{path}.{k}")
                 };
                 match cur.iter().find(|(ck, _)| ck == k) {
-                    Some((_, cv)) => walk(cv, bv, rules, &child, result),
+                    Some((_, cv)) => walk(cv, bv, &child, result),
                     None => note(result, &child, "missing from current report".to_string()),
                 }
             }
@@ -824,22 +750,8 @@ fn walk(current: &Json, baseline: &Json, rules: &[Tolerance], path: &str, result
         }
         (Json::Num(c), Json::Num(b)) => {
             result.compared += 1;
-            match find_band(rules, path) {
-                Some(Band::Pct(pct)) => {
-                    let slack = (b.abs() * pct / 100.0).max(1.0);
-                    if (c - b).abs() > slack {
-                        note(
-                            result,
-                            path,
-                            format!("{c} vs baseline {b} (±{pct}% allowed)"),
-                        );
-                    }
-                }
-                _ => {
-                    if c != b {
-                        note(result, path, format!("{c} vs baseline {b} (exact)"));
-                    }
-                }
+            if c != b {
+                note(result, path, format!("{c} vs baseline {b} (exact)"));
             }
         }
         (c, b) => {
@@ -866,18 +778,9 @@ fn brief(j: &Json) -> String {
     }
 }
 
-/// Build the committed baseline document: the report plus its
-/// tolerance annotations.
-pub fn baseline_json(report: &Report, rules: &[Tolerance]) -> Json {
-    let mut doc = report_json(report);
-    doc.set("tolerances", tolerances_json(rules));
-    doc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
     use simnet::NodeMetrics;
 
     fn fake_report() -> Report {
@@ -925,39 +828,33 @@ mod tests {
                 ],
                 recovery: RecoveryRecord {
                     crash_after_barriers: 6,
-                    trials: 1,
                     reexec_ns: 750_000,
                     ml_ns: 500_000,
                     ccl_ns: 400_000,
                 },
             })
             .collect();
+        let fetch_ablation = FETCH_ABLATION_PROTOCOLS
+            .iter()
+            .map(|&protocol| AblatedRun {
+                protocol,
+                digest: 0xdead_beef_dead_beef,
+                exec_ns: 1_300_000,
+            })
+            .collect();
         Report {
             scale: Scale::Smoke,
             apps,
-        }
-    }
-
-    fn tol(path: &str, band: Band, why: &str) -> Tolerance {
-        Tolerance {
-            path: path.to_string(),
-            band,
-            why: why.to_string(),
+            fetch_ablation,
         }
     }
 
     #[test]
     fn identical_reports_pass_the_gate() {
         let doc = report_json(&fake_report());
-        let base = baseline_json(&fake_report(), &default_tolerances());
-        let rules = parse_tolerances(&base);
-        let res = compare(&doc, &base, &rules);
+        let res = compare(&doc, &report_json(&fake_report()));
         assert!(res.passed(), "{:?}", res.violations);
         assert!(res.compared > 50);
-        assert_eq!(
-            res.ignored, 0,
-            "the default tolerance set is empty: every field compares"
-        );
     }
 
     #[test]
@@ -965,9 +862,7 @@ mod tests {
         let doc = report_json(&fake_report());
         let mut drifted = fake_report();
         drifted.apps[0].runs[2].log_bytes += 1;
-        let base = baseline_json(&drifted, &default_tolerances());
-        let rules = parse_tolerances(&base);
-        let res = compare(&doc, &base, &rules);
+        let res = compare(&doc, &report_json(&drifted));
         assert!(!res.passed());
         assert!(
             res.violations
@@ -978,15 +873,14 @@ mod tests {
         );
     }
 
-    /// With the empty default set, even a one-count drift on a field
-    /// that used to carry a wide band (recovery timing) is a violation.
+    /// Recovery timing is one deterministic run, so even a two-nanosecond
+    /// drift is a violation.
     #[test]
     fn recovery_timing_now_compares_exactly() {
         let doc = report_json(&fake_report());
         let mut drifted = fake_report();
         drifted.apps[3].recovery.ml_ns += 2;
-        let base = baseline_json(&drifted, &default_tolerances());
-        let res = compare(&doc, &base, &parse_tolerances(&base));
+        let res = compare(&doc, &report_json(&drifted));
         assert!(!res.passed());
         assert!(
             res.violations
@@ -997,62 +891,12 @@ mod tests {
         );
     }
 
-    /// The band machinery itself still works for baselines that carry
-    /// explicit annotations (none do today, but the escape hatch stays
-    /// tested): drift inside a `pct` band passes, outside fails.
-    #[test]
-    fn banded_fields_absorb_drift_within_tolerance() {
-        let rules = vec![tol(
-            "apps.*.recovery.ml_ns",
-            Band::Pct(60.0),
-            "synthetic band for the gate test",
-        )];
-        let doc = report_json(&fake_report());
-        let mut drifted = fake_report();
-        for a in &mut drifted.apps {
-            a.recovery.ml_ns = (a.recovery.ml_ns as f64 * 1.4) as u64; // +40% < 60%
-        }
-        let base = baseline_json(&drifted, &rules);
-        let res = compare(&doc, &base, &parse_tolerances(&base));
-        assert!(res.passed(), "{:?}", res.violations);
-
-        let mut way_off = fake_report();
-        way_off.apps[0].recovery.ml_ns *= 3;
-        let base = baseline_json(&way_off, &rules);
-        let res = compare(&doc, &base, &parse_tolerances(&base));
-        assert!(!res.passed());
-    }
-
-    /// `ignore` annotations skip exactly the matching fields and count
-    /// them, leaving every other path exact.
-    #[test]
-    fn ignore_band_skips_only_matching_fields() {
-        let rules = vec![tol(
-            "apps.Water.runs.*.trace_fp",
-            Band::Ignore,
-            "synthetic ignore for the gate test",
-        )];
-        let doc = report_json(&fake_report());
-        let mut drifted = fake_report();
-        drifted.apps[3].runs[2].trace_fp ^= 1; // Water: ignored
-        let base = baseline_json(&drifted, &rules);
-        let res = compare(&doc, &base, &parse_tolerances(&base));
-        assert!(res.passed(), "{:?}", res.violations);
-        assert!(res.ignored > 0);
-
-        let mut drifted = fake_report();
-        drifted.apps[0].runs[2].trace_fp ^= 1; // 3D-FFT: exact
-        let base = baseline_json(&drifted, &rules);
-        let res = compare(&doc, &base, &parse_tolerances(&base));
-        assert!(!res.passed());
-    }
-
     #[test]
     fn missing_and_extra_fields_are_violations() {
         let doc = report_json(&fake_report());
-        let mut base = baseline_json(&fake_report(), &default_tolerances());
+        let mut base = report_json(&fake_report());
         base.set("extra_baseline_field", Json::Num(1.0));
-        let res = compare(&doc, &base, &parse_tolerances(&base));
+        let res = compare(&doc, &base);
         assert!(res
             .violations
             .iter()
@@ -1060,8 +904,7 @@ mod tests {
 
         let mut doc2 = report_json(&fake_report());
         doc2.set("novel_field", Json::Num(1.0));
-        let base = baseline_json(&fake_report(), &default_tolerances());
-        let res = compare(&doc2, &base, &parse_tolerances(&base));
+        let res = compare(&doc2, &report_json(&fake_report()));
         assert!(res
             .violations
             .iter()
@@ -1069,44 +912,16 @@ mod tests {
     }
 
     #[test]
-    fn path_patterns() {
-        assert!(path_matches(
-            "apps.*.recovery.ml_ns",
-            "apps.Water.recovery.ml_ns"
-        ));
-        assert!(!path_matches(
-            "apps.*.recovery.ml_ns",
-            "apps.Water.recovery.ccl_ns"
-        ));
-        assert!(path_matches(
-            "apps.Water.runs.*.hist.**",
-            "apps.Water.runs.ccl.hist.flush_bytes.p99"
-        ));
-        assert!(!path_matches(
-            "apps.Water.runs.*.hist.**",
-            "apps.MG.runs.ccl.hist.p99"
-        ));
-        assert!(!path_matches(
-            "apps.Water.runs.*.hist.**",
-            "apps.Water.runs.ccl.exec_ns"
-        ));
-    }
-
-    #[test]
-    fn tolerances_round_trip_through_json() {
-        let rules = vec![
-            tol("apps.*.recovery.ml_ns", Band::Pct(60.0), "round trip"),
-            tol("apps.Water.runs.*.hist.**", Band::Ignore, "round trip"),
-        ];
-        let mut doc = Json::obj();
-        doc.set("tolerances", tolerances_json(&rules));
-        let text = doc.pretty();
-        let back = parse_tolerances(&json::parse(&text).unwrap());
-        assert_eq!(back.len(), rules.len());
-        for (a, b) in back.iter().zip(&rules) {
-            assert_eq!(a.path, b.path);
-            assert_eq!(a.band, b.band);
+    fn report_json_carries_the_fetch_ablation() {
+        let doc = report_json(&fake_report());
+        let ablation = doc.get("fetch_ablation").unwrap();
+        assert_eq!(ablation.get("app").unwrap().as_str(), Some("3D-FFT"));
+        let runs = ablation.get("runs").unwrap();
+        for proto in ["none", "ccl"] {
+            let r = runs.get(proto).unwrap();
+            assert_eq!(r.get("exec_ns").unwrap().as_f64(), Some(1_300_000.0));
         }
+        assert!(runs.get("ml").is_none());
     }
 
     #[test]

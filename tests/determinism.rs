@@ -1,251 +1,81 @@
-//! Golden determinism contract: fault-free runs are bit-reproducible.
+//! Golden determinism contract: every run is bit-reproducible, and the
+//! committed report records are its goldens. (An `obsv` test target:
+//! it compares through the same `report` code the gate uses.)
 //!
 //! The simulator is deterministic by construction, which is what makes
-//! every reported number (Table 1/2, the figures) reviewable. These
-//! goldens pin the *observable* outputs of two tiny fault-free runs —
-//! application digest, virtual execution time, total log bytes, and the
-//! trace event *order* — so any change to the hot path (diff kernel,
-//! buffer pooling, shared payloads, codec sizing) that accidentally
-//! alters protocol behavior fails loudly instead of silently shifting
-//! the paper's tables.
-//!
-//! The digests were captured before the zero-copy overhaul and have
-//! survived every optimization since unchanged — physical changes
-//! (allocation, copies) and latency-hiding changes (batched prefetch,
-//! adaptive homes) alike must never be logical ones. The execution
-//! times, log bytes, and trace fingerprints were recaptured when the
-//! fetch-hiding machinery landed (DESIGN.md §15): prefetch-enabled
-//! defaults shorten the schedules (tiny 3D-FFT/None by 46 %), and the
-//! barrier envelopes grew two length fields for migration proposals,
-//! which nudges even the ML rows (whose default prefetch depth is 0)
-//! by a few microseconds and log bytes.
+//! every reported number reviewable. These tests pin the observable
+//! outputs against the same records the `report` gate compares, so a
+//! change to the hot path (diff kernel, buffer pooling, codec sizing,
+//! scheduler) that accidentally alters protocol behavior fails loudly
+//! instead of silently shifting the paper's tables. Re-bless a golden
+//! with `cargo run --release -p obsv --bin report -- [--smoke] --bless`.
+
+use std::path::Path;
 
 use ccl_apps::App;
-use ccl_core::{run_program, ClusterSpec, Protocol, RunOutput};
+use ccl_core::Protocol;
+use obsv::json::{self, Json};
+use obsv::report::{run_json, run_record};
+use obsv::{collect, compare, report_json, trace_fingerprint, Scale};
 
-/// FNV-1a over every node's trace event-kind debug representation, in
-/// node order. Virtual times are excluded on purpose: the fingerprint
-/// pins the *order* of protocol events, which together with `exec_ns`
-/// (which does depend on times) pins the full observable schedule.
-///
-/// The `MsgSend`/`MsgRecv` causal edges are **included**: the
-/// conservative virtual-time scheduler (DESIGN.md §12) delivers
-/// messages in `(arrival, src, seq)` order, so the full causal
-/// schedule — not just the coherence-event order — is deterministic
-/// and pinned here.
-fn trace_fingerprint(out: &RunOutput<u64>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for n in &out.nodes {
-        for ev in &n.trace {
-            let tag = format!("{:?}", ev.kind);
-            for b in tag.bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-    }
-    h
+/// Parse a committed record, resolved from the repository root.
+fn golden(rel: &str) -> Json {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(rel);
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+    json::parse(&text).unwrap_or_else(|e| panic!("parsing {}: {e}", path.display()))
 }
 
-struct Golden {
-    app: App,
-    protocol: Protocol,
-    digest: u64,
-    exec_ns: u64,
-    log_bytes: u64,
-    trace_fp: u64,
-}
-
-const PAGE: usize = 256;
-const NODES: usize = 4;
-
-fn goldens() -> Vec<Golden> {
-    use Protocol::*;
-    let g = |app, protocol, digest, exec_ns, log_bytes, trace_fp| Golden {
-        app,
-        protocol,
-        digest,
-        exec_ns,
-        log_bytes,
-        trace_fp,
-    };
-    vec![
-        g(
-            App::Fft3d,
-            None,
-            0x360c9ba06b0461e6,
-            17_399_160,
-            0,
-            0x8e4705d6b31e2992,
-        ),
-        g(
-            App::Fft3d,
-            Ml,
-            0x360c9ba06b0461e6,
-            32_997_222,
-            99_204,
-            0xf860bf1b0726542d,
-        ),
-        g(
-            App::Fft3d,
-            Ccl,
-            0x360c9ba06b0461e6,
-            17_545_518,
-            9_684,
-            0x8bbe24cfc3946d70,
-        ),
-        g(
-            App::Shallow,
-            None,
-            0xe13d122136fea4e6,
-            18_311_904,
-            0,
-            0xd8ed8ecc063ac97,
-        ),
-        g(
-            App::Shallow,
-            Ml,
-            0xe13d122136fea4e6,
-            25_178_772,
-            70_200,
-            0x6dccf40693ee3924,
-        ),
-        g(
-            App::Shallow,
-            Ccl,
-            0xe13d122136fea4e6,
-            18_524_376,
-            15_120,
-            0x77fd4bfc8cc0693b,
-        ),
-    ]
-}
-
-/// Paper-scale goldens for the two applications the tolerance bands
-/// used to cover: lock-heavy Water (previously ~20% `exec_ns` swing
-/// from physical lock-arrival order) and MG (±0.01% ack-timing nudge
-/// from physical flush arrival). Under the conservative virtual-time
-/// scheduler both pin exactly, trace fingerprint included.
-fn paper_goldens() -> Vec<Golden> {
-    use Protocol::*;
-    let g = |app, protocol, digest, exec_ns, log_bytes, trace_fp| Golden {
-        app,
-        protocol,
-        digest,
-        exec_ns,
-        log_bytes,
-        trace_fp,
-    };
-    vec![
-        g(
-            App::Mg,
-            None,
-            0x75aeac31809fd6dd,
-            388_979_056,
-            0,
-            0xf1323143988acee0,
-        ),
-        g(
-            App::Mg,
-            Ml,
-            0x75aeac31809fd6dd,
-            469_310_162,
-            8_261_316,
-            0x26ce23fa74f67b0e,
-        ),
-        g(
-            App::Mg,
-            Ccl,
-            0x75aeac31809fd6dd,
-            403_537_858,
-            609_784,
-            0x699e1c4c7a4a5f6e,
-        ),
-        g(
-            App::Water,
-            None,
-            0xb0c39b2ef95f7bdb,
-            1_620_203_708,
-            0,
-            0xa490717ebc280ba3,
-        ),
-        g(
-            App::Water,
-            Ml,
-            0xb0c39b2ef95f7bdb,
-            1_633_819_956,
-            1_991_903,
-            0x114a5a4bbf0eefa4,
-        ),
-        g(
-            App::Water,
-            Ccl,
-            0xb0c39b2ef95f7bdb,
-            1_623_019_412,
-            412_872,
-            0x61bfeb9cc2b08213,
-        ),
-    ]
-}
-
-fn check_golden(gold: &Golden, out: &RunOutput<u64>) {
-    let label = format!("{:?}/{:?}", gold.app, gold.protocol);
-    assert_eq!(
-        out.nodes[0].result, gold.digest,
-        "{label}: application digest drifted"
-    );
-    assert_eq!(
-        out.exec_time().as_nanos(),
-        gold.exec_ns,
-        "{label}: virtual execution time drifted"
-    );
-    assert_eq!(
-        out.total_log_bytes(),
-        gold.log_bytes,
-        "{label}: total log bytes drifted (Table 2 would change)"
-    );
-    assert_eq!(
-        trace_fingerprint(out),
-        gold.trace_fp,
-        "{label}: trace event order drifted"
+fn assert_matches(label: &str, current: &Json, baseline: &Json) {
+    let res = compare(current, baseline);
+    assert!(
+        res.passed(),
+        "{label} drifted:\n{}",
+        res.violations.join("\n")
     );
 }
 
+/// The whole smoke matrix — every app under None/ML/CCL, the crash
+/// recoveries, and the fetch-hiding ablation — equals the committed
+/// smoke record field for field.
 #[test]
 fn fault_free_runs_match_goldens() {
-    for gold in goldens() {
-        let app = gold.app;
-        let spec = ClusterSpec::new(NODES, app.tiny_pages(PAGE) + 4)
-            .with_page_size(PAGE)
-            .with_protocol(gold.protocol);
-        let out = run_program(spec, move |dsm| app.run_tiny(dsm));
-        check_golden(&gold, &out);
-    }
+    let current = report_json(&collect(Scale::Smoke));
+    assert_matches(
+        "smoke matrix",
+        &current,
+        &golden("crates/obsv/smoke_baseline.json"),
+    );
 }
 
-/// The paper-scale (8-node, 4 KiB pages) runs of Water and MG match
-/// their goldens exactly — the workloads the ROADMAP's open item said
-/// could never be pinned.
+/// The paper-scale (8-node, 4 KiB pages) runs of Water and MG — the
+/// lock-heavy and the flush-ack-heavy workload — match their committed
+/// `REPORT_paper.json` entries exactly.
 #[test]
 fn paper_scale_water_and_mg_match_goldens() {
-    for gold in paper_goldens() {
-        let app = gold.app;
-        let spec = ClusterSpec::new(8, app.paper_pages(4096) + 8).with_protocol(gold.protocol);
-        let out = run_program(spec, move |dsm| app.run_paper(dsm));
-        check_golden(&gold, &out);
+    let paper = golden("REPORT_paper.json");
+    for app in [App::Mg, App::Water] {
+        for protocol in Protocol::TABLE2 {
+            let label = format!("{}/{}", app.name(), protocol.label());
+            let baseline = paper
+                .get("apps")
+                .and_then(|a| a.get(app.name()))
+                .and_then(|a| a.get("runs"))
+                .and_then(|r| r.get(protocol.label()))
+                .unwrap_or_else(|| panic!("{label} missing from REPORT_paper.json"));
+            let current = run_json(&run_record(Scale::Paper, app, protocol));
+            assert_matches(&label, &current, baseline);
+        }
     }
 }
 
-/// Same spec twice → byte-identical observables (run-to-run
-/// determinism, independent of the golden capture).
+/// Same spec twice → identical observables (run-to-run determinism,
+/// independent of any committed golden).
 #[test]
 fn repeated_runs_are_identical() {
-    let run = || {
-        let spec = ClusterSpec::new(NODES, App::Fft3d.tiny_pages(PAGE) + 4)
-            .with_page_size(PAGE)
-            .with_protocol(Protocol::Ccl);
-        run_program(spec, |dsm| App::Fft3d.run_tiny(dsm))
-    };
+    let run = || Scale::Smoke.run(App::Fft3d, Protocol::Ccl);
     let (a, b) = (run(), run());
     assert_eq!(a.nodes[0].result, b.nodes[0].result);
     assert_eq!(a.exec_time(), b.exec_time());

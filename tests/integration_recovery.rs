@@ -93,8 +93,8 @@ fn late_crash_close_to_program_end() {
 fn ccl_recovery_reads_less_log_than_ml_recovery() {
     // The mechanism behind the paper's Figure 5: ML-recovery reads its
     // (large) log back record by record, CCL-recovery reads its (small)
-    // log once per interval. The wall-clock win shows at paper scale
-    // (see `cargo bench --bench fig5`); at test scale we assert the
+    // log once per interval. Recovery times are compared at paper
+    // scale (Figure 5, from the `report` binary); at test scale we assert the
     // scale-independent invariants: both recoveries succeed and CCL's
     // replay pulls far fewer bytes off stable storage.
     let app = App::Shallow;
