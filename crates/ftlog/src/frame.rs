@@ -31,12 +31,15 @@ pub const FRAME_MAGIC: u16 = 0xF51C;
 /// Exact header overhead per framed record, in bytes.
 pub const FRAME_HEADER_BYTES: usize = 18;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) lookup table,
-/// built at compile time so the codec stays dependency-free.
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) slicing-by-8
+/// tables, built at compile time so the codec stays dependency-free.
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
+/// advances a byte's contribution past `k` further zero bytes, so one
+/// step folds eight input bytes with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -49,15 +52,38 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let t = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
 }
@@ -241,12 +267,72 @@ pub fn salvage(records: &[Vec<u8>]) -> Salvage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minicheck::check;
+
+    /// The byte-at-a-time CRC the sliced one must reproduce.
+    fn crc32_update_bytewise(mut crc: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        crc
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard check value for "123456789" under CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc_matches_bytewise_reference() {
+        check("sliced_crc_matches_bytewise_reference", 64, |rng| {
+            let buf = rng.bytes(72);
+            let seed = rng.next_u64() as u32;
+            for start in 0..8 {
+                for len in 0..=64 {
+                    let s = &buf[start..start + len];
+                    assert_eq!(
+                        crc32_update(seed, s),
+                        crc32_update_bytewise(seed, s),
+                        "start {start} len {len}"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn record_crc_is_the_crc_of_the_concatenated_fields() {
+        check(
+            "record_crc_is_the_crc_of_the_concatenated_fields",
+            64,
+            |rng| {
+                let epoch = rng.next_u64() as u32;
+                let seq = rng.next_u64() as u32;
+                let len = rng.usize_in(0, 200);
+                let payload = rng.bytes(len);
+                let mut all = Vec::new();
+                all.extend_from_slice(&epoch.to_le_bytes());
+                all.extend_from_slice(&seq.to_le_bytes());
+                all.extend_from_slice(&(len as u32).to_le_bytes());
+                all.extend_from_slice(&payload);
+                assert_eq!(record_crc(epoch, seq, &payload), crc32(&all));
+            },
+        );
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // Magic ‖ epoch 3 ‖ seq 7 ‖ len 20 ‖ CRC ‖ payload, with the CRC
+        // taken from an independent CRC-32/IEEE implementation.
+        let rec = frame_record(3, 7, b"hello stable storage");
+        let hex: String = rec.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "1cf5030000000700000014000000372d4abd\
+             68656c6c6f20737461626c652073746f72616765"
+        );
     }
 
     #[test]

@@ -251,7 +251,12 @@ impl HlrcNode {
 
     /// Make `page` accessible with `access`, running the fault handler
     /// if the protection state requires it. This is the software stand-in
-    /// for the mprotect/SIGSEGV trap (see DESIGN.md).
+    /// for the mprotect/SIGSEGV trap (see DESIGN.md): the only place an
+    /// access faults, charges a trap, counts a prefetch hit, takes a twin
+    /// or emits a trace event. It is a no-op exactly when
+    /// [`PageTable::readable_now`]/[`PageTable::writable_now`] hold, which
+    /// is what lets the scalar accessors skip it (DESIGN.md §10).
+    #[inline(never)]
     pub fn ensure_access(&mut self, page: PageId, access: Access) {
         let me_home = self.inner.pages.is_home(page);
         if me_home {
@@ -344,11 +349,13 @@ impl HlrcNode {
     }
 
     /// Read access to the frame of `page` (after `ensure_access`).
+    #[inline]
     pub fn frame(&self, page: PageId) -> &pagemem::PageFrame {
         self.inner.pages.frame(page)
     }
 
     /// Write access to the frame of `page` (after `ensure_access`).
+    #[inline]
     pub fn frame_mut(&mut self, page: PageId) -> &mut pagemem::PageFrame {
         debug_assert!(
             self.inner.pages.is_home(page)
@@ -358,18 +365,25 @@ impl HlrcNode {
         self.inner.pages.frame_mut(page)
     }
 
-    /// Convenience scalar accessors (examples and tests; applications
-    /// use the typed views in `ccl-core`).
+    /// Read a u64 at byte address `addr` in the shared space. An access
+    /// that needs no protocol action goes straight to the frame, like a
+    /// load the MMU lets through; anything else takes the fault path.
+    #[inline]
     pub fn read_u64(&mut self, addr: usize) -> u64 {
         let (p, off) = self.locate(addr);
-        self.ensure_access(p, Access::Read);
+        if !self.inner.pages.readable_now(p) {
+            self.ensure_access(p, Access::Read);
+        }
         self.frame(p).read_u64(off)
     }
 
     /// Write a u64 at byte address `addr` in the shared space.
+    #[inline]
     pub fn write_u64(&mut self, addr: usize, v: u64) {
         let (p, off) = self.locate(addr);
-        self.ensure_access(p, Access::Write);
+        if !self.inner.pages.writable_now(p) {
+            self.ensure_access(p, Access::Write);
+        }
         self.frame_mut(p).write_u64(off, v);
     }
 
@@ -383,6 +397,7 @@ impl HlrcNode {
         self.write_u64(addr, v.to_bits());
     }
 
+    #[inline]
     fn locate(&self, addr: usize) -> (PageId, usize) {
         let l = self.inner.cfg.layout;
         (l.page_of(addr), l.offset_of(addr))
@@ -1658,6 +1673,89 @@ mod tests {
         fn needs_home_write_twins(&self) -> bool {
             true
         }
+    }
+
+    /// The scalar accessors skip `ensure_access` when the page-table
+    /// predicate holds, so the predicate must be true exactly when
+    /// `ensure_access` would be a no-op: no clock advance, no counter,
+    /// no trace event, no page-entry change. Every combination of home
+    /// or remote × protection state × prefetched × dirty × access kind
+    /// is set up on node 1 and probed; node 0 (home of the remote page)
+    /// serves the fetches from its barrier wait.
+    #[test]
+    fn fast_path_predicates_hold_iff_ensure_access_is_a_no_op() {
+        use pagemem::PageFrame;
+
+        const REMOTE: PageId = 0; // homed at node 0
+        const HOME: PageId = 2; // homed at node 1
+        let cfg = DsmConfig::new(2, 4)
+            .with_page_size(64)
+            .with_prefetch_depth(0);
+        let probes = run_cluster(2, cfg.cost, move |ctx| {
+            let me = ctx.id();
+            let mut node = HlrcNode::new(ctx, cfg, Box::new(TwinningStub));
+            if me == 0 {
+                node.barrier();
+                return 0;
+            }
+            let mut probes = 0;
+            for page in [REMOTE, HOME] {
+                for state in [PageState::Invalid, PageState::ReadOnly, PageState::Writable] {
+                    for prefetched in [false, true] {
+                        for dirty in [false, true] {
+                            for access in [Access::Read, Access::Write] {
+                                let home = page == HOME;
+                                let e = node.inner.pages.entry_mut(page);
+                                e.state = state;
+                                e.prefetched = prefetched;
+                                e.dirty = dirty;
+                                e.twin = None;
+                                if !home {
+                                    e.frame = (state != PageState::Invalid)
+                                        .then(|| PageFrame::zeroed(64));
+                                }
+                                let fast = match access {
+                                    Access::Read => node.inner.pages.readable_now(page),
+                                    Access::Write => node.inner.pages.writable_now(page),
+                                };
+                                let before = (
+                                    node.inner.ctx.now(),
+                                    node.inner.ctx.stats,
+                                    node.inner.ctx.trace_events().len(),
+                                    node.inner.pages.entry(page).clone(),
+                                );
+                                node.ensure_access(page, access);
+                                let after = (
+                                    node.inner.ctx.now(),
+                                    node.inner.ctx.stats,
+                                    node.inner.ctx.trace_events().len(),
+                                    node.inner.pages.entry(page).clone(),
+                                );
+                                assert_eq!(
+                                    fast,
+                                    before == after,
+                                    "home {home} {state:?} prefetched {prefetched} \
+                                     dirty {dirty} {access:?}: predicate {fast}"
+                                );
+                                probes += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            // Leave consistent entries for the closing barrier.
+            for (page, state) in [(REMOTE, PageState::Invalid), (HOME, PageState::ReadOnly)] {
+                let e = node.inner.pages.entry_mut(page);
+                e.state = state;
+                e.prefetched = false;
+                e.dirty = false;
+                e.twin = None;
+            }
+            node.inner.pages.entry_mut(REMOTE).frame = None;
+            node.barrier();
+            probes
+        });
+        assert_eq!(probes[1], 2 * 3 * 2 * 2 * 2);
     }
 
     /// A recovery fetch serviced while the home has an *open* interval

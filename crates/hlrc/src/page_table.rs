@@ -6,7 +6,7 @@ use simnet::NodeId;
 use crate::config::DsmConfig;
 
 /// One shared page as seen by one node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageEntry {
     /// The page's home node (static).
     pub home: NodeId,
@@ -136,11 +136,37 @@ impl PageTable {
         &mut self.entries[page as usize]
     }
 
+    /// Can `page` be read with no protocol action? Home copies never
+    /// miss; a remote copy needs a valid frame and no pending
+    /// prefetch-hit bookkeeping. Exactly the case in which
+    /// `HlrcNode::ensure_access(page, Access::Read)` is a no-op.
+    #[inline]
+    pub fn readable_now(&self, page: PageId) -> bool {
+        let e = &self.entries[page as usize];
+        e.home == self.me || (!e.prefetched && e.state != PageState::Invalid)
+    }
+
+    /// Can `page` be written with no protocol action? A home copy once
+    /// its write-detection trap has fired this interval; a remote copy
+    /// once it is writable and no longer flagged as a prefetch. Exactly
+    /// the case in which `HlrcNode::ensure_access(page, Access::Write)`
+    /// is a no-op.
+    #[inline]
+    pub fn writable_now(&self, page: PageId) -> bool {
+        let e = &self.entries[page as usize];
+        if e.home == self.me {
+            e.dirty
+        } else {
+            !e.prefetched && e.state == PageState::Writable
+        }
+    }
+
     /// The local frame of `page`.
     ///
     /// # Panics
     /// Panics if no local copy exists (protocol bug: access without
     /// `ensure_access`).
+    #[inline]
     pub fn frame(&self, page: PageId) -> &PageFrame {
         self.entries[page as usize]
             .frame
@@ -149,6 +175,7 @@ impl PageTable {
     }
 
     /// Mutable local frame of `page`.
+    #[inline]
     pub fn frame_mut(&mut self, page: PageId) -> &mut PageFrame {
         self.entries[page as usize]
             .frame

@@ -10,14 +10,22 @@ use std::ops::Range;
 pub type PageId = u32;
 
 /// Page-size bookkeeping for the shared address space.
+///
+/// Every shared access maps an address to its page, so the page size
+/// is a power of two and the mapping is a shift and a mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageLayout {
     page_size: usize,
+    /// `log2(page_size)`.
+    shift: u32,
 }
 
 impl PageLayout {
     /// The paper's coherence granularity: one 4 KB OS page.
-    pub const OS_4K: PageLayout = PageLayout { page_size: 4096 };
+    pub const OS_4K: PageLayout = PageLayout {
+        page_size: 4096,
+        shift: 12,
+    };
 
     /// Create a layout with a custom page size (power of two, >= 8).
     ///
@@ -29,7 +37,10 @@ impl PageLayout {
             page_size.is_power_of_two() && page_size >= 8,
             "page size must be a power of two >= 8, got {page_size}"
         );
-        PageLayout { page_size }
+        PageLayout {
+            page_size,
+            shift: page_size.trailing_zeros(),
+        }
     }
 
     #[inline]
@@ -41,13 +52,13 @@ impl PageLayout {
     /// Page containing byte address `addr`.
     #[inline]
     pub fn page_of(&self, addr: usize) -> PageId {
-        (addr / self.page_size) as PageId
+        (addr >> self.shift) as PageId
     }
 
     /// Offset of byte address `addr` within its page.
     #[inline]
     pub fn offset_of(&self, addr: usize) -> usize {
-        addr % self.page_size
+        addr & (self.page_size - 1)
     }
 
     /// First byte address of `page`.
@@ -85,6 +96,33 @@ mod tests {
         assert_eq!(l.page_of(4096), 1);
         assert_eq!(l.offset_of(4097), 1);
         assert_eq!(l.base_of(2), 8192);
+    }
+
+    #[test]
+    fn shift_and_mask_agree_with_division() {
+        let mut size = 8;
+        while size <= 65536 {
+            let l = PageLayout::new(size);
+            let near_half = usize::MAX / 2 / size * size;
+            for addr in [
+                0,
+                size - 1,
+                size,
+                size + 1,
+                near_half - 1,
+                near_half,
+                near_half + 1,
+                usize::MAX / 2,
+            ] {
+                assert_eq!(l.page_of(addr), (addr / size) as PageId, "{size} {addr}");
+                assert_eq!(l.offset_of(addr), addr % size, "{size} {addr}");
+            }
+            for page in [0, 1, 2, PageId::MAX] {
+                assert_eq!(l.base_of(page), page as usize * size, "{size} {page}");
+            }
+            size *= 2;
+        }
+        assert_eq!(PageLayout::OS_4K, PageLayout::new(4096));
     }
 
     #[test]
