@@ -140,13 +140,13 @@ impl Dsm {
     // ------------------------------------------------------------
 
     /// Read element `i`.
-    #[inline]
+    #[inline(always)]
     pub fn read<T: SharedVal>(&mut self, h: &ArrayHandle<T>, i: usize) -> T {
         T::from_bits(self.node.read_u64(h.addr(i)))
     }
 
     /// Write element `i`.
-    #[inline]
+    #[inline(always)]
     pub fn write<T: SharedVal>(&mut self, h: &ArrayHandle<T>, i: usize, v: T) {
         self.node.write_u64(h.addr(i), v.to_bits());
     }

@@ -457,6 +457,27 @@ mod tests {
     }
 
     #[test]
+    fn out_of_bounds_access_panics_through_the_inlined_accessors() {
+        let out = run_program(tiny_spec(Protocol::Ml), |dsm| {
+            let h = dsm.alloc::<u64>(8);
+            dsm.write(&h, 7, 1);
+            let message = |payload: Box<dyn std::any::Any + Send>| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default()
+            };
+            let read = catch_unwind(AssertUnwindSafe(|| dsm.read(&h, h.len()))).unwrap_err();
+            let write = catch_unwind(AssertUnwindSafe(|| dsm.write(&h, h.len(), 1))).unwrap_err();
+            (message(read), message(write))
+        });
+        for n in &out.nodes {
+            assert_eq!(n.result.0, "index 8 out of bounds (len 8)");
+            assert_eq!(n.result.1, "index 8 out of bounds (len 8)");
+        }
+    }
+
+    #[test]
     fn logging_protocols_actually_log() {
         let none = run_program(tiny_spec(Protocol::None), counter_program);
         let ml = run_program(tiny_spec(Protocol::Ml), counter_program);

@@ -67,11 +67,19 @@ impl<T: SharedVal> ArrayHandle<T> {
     }
 
     /// Byte address of element `i`.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn addr(&self, i: usize) -> usize {
-        assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
+        if i >= self.len {
+            out_of_bounds(i, self.len);
+        }
         self.base + i * ELEM_BYTES
     }
+}
+
+#[cold]
+#[inline(never)]
+fn out_of_bounds(i: usize, len: usize) -> ! {
+    panic!("index {i} out of bounds (len {len})")
 }
 
 #[cfg(test)]

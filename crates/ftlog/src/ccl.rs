@@ -631,13 +631,8 @@ impl CclLogger {
         // diff crosses the network exactly once over the whole replay.
         inner.replay_close_interval();
         let me = inner.me() as u32;
-        let vc_before = inner.vc.clone();
-        let mut fresh: Vec<hlrc::WriteNotice> = Vec::new();
-        for n in &notices {
-            if vc_before.covers(n.interval) || fresh.contains(n) {
-                continue;
-            }
-            fresh.push(*n);
+        let fresh = hlrc::fresh_notices(&inner.vc, &notices);
+        for n in &fresh {
             inner.vc.observe(n.interval);
             inner.history.push(*n);
         }

@@ -1,6 +1,6 @@
 //! Shared replay helpers used by both ML- and CCL-recovery.
 
-use hlrc::{NodeInner, WriteNotice};
+use hlrc::{fresh_notices, NodeInner, WriteNotice};
 use pagemem::VClock;
 
 /// Re-apply a synchronization operation's notices during replay:
@@ -15,15 +15,8 @@ pub fn replay_apply_notices(
     vc_in: &VClock,
 ) -> Vec<WriteNotice> {
     let me = inner.me() as u32;
-    // Judge freshness against the pre-batch clock: notices of the same
-    // interval (one per written page) must all be applied.
-    let vc_before = inner.vc.clone();
-    let mut fresh: Vec<WriteNotice> = Vec::new();
-    for n in notices {
-        if vc_before.covers(n.interval) || fresh.contains(n) {
-            continue;
-        }
-        fresh.push(*n);
+    let fresh = fresh_notices(&inner.vc, notices);
+    for n in &fresh {
         inner.vc.observe(n.interval);
         inner.history.push(*n);
         if n.interval.node != me && !inner.pages.is_home(n.page) {

@@ -30,7 +30,8 @@ pub use config::{DsmConfig, HomePolicy};
 pub use fault_tolerance::{FaultTolerance, NoLogging, RecoveryStep, SyncKind};
 pub use homeless::{HMsg, HomelessNode};
 pub use msg::{
-    kind_label, EpochRelease, HomeMigration, Msg, PageCopy, WriteNotice, HEADER_BYTES, MSG_KINDS,
+    fresh_notices, kind_label, EpochRelease, HomeMigration, Msg, PageCopy, WriteNotice,
+    HEADER_BYTES, MSG_KINDS,
 };
 pub use node::{HlrcNode, NodeInner, PrefetchState};
 pub use page_table::{PageEntry, PageTable};

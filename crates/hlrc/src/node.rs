@@ -24,7 +24,7 @@ use simnet::{CoherenceProtocol, Envelope, NodeCtx, NodeId, SimDuration, SimTime,
 
 use crate::config::{DsmConfig, HomePolicy};
 use crate::fault_tolerance::{FaultTolerance, RecoveryStep, SyncKind};
-use crate::msg::{HomeMigration, Msg, PageCopy, WriteNotice};
+use crate::msg::{fresh_notices, HomeMigration, Msg, PageCopy, WriteNotice};
 use crate::page_table::PageTable;
 use crate::sync::{BarrierMgr, LockTable, PendingAcquire};
 
@@ -255,7 +255,9 @@ impl HlrcNode {
     /// access faults, charges a trap, counts a prefetch hit, takes a twin
     /// or emits a trace event. It is a no-op exactly when
     /// [`PageTable::readable_now`]/[`PageTable::writable_now`] hold, which
-    /// is what lets the scalar accessors skip it (DESIGN.md §10).
+    /// is what lets the scalar accessors skip it through
+    /// [`PageTable::readable_frame`]/[`PageTable::writable_frame`]
+    /// (DESIGN.md §10).
     #[inline(never)]
     pub fn ensure_access(&mut self, page: PageId, access: Access) {
         let me_home = self.inner.pages.is_home(page);
@@ -367,24 +369,41 @@ impl HlrcNode {
 
     /// Read a u64 at byte address `addr` in the shared space. An access
     /// that needs no protocol action goes straight to the frame, like a
-    /// load the MMU lets through; anything else takes the fault path.
-    #[inline]
+    /// load the MMU lets through: one page-entry lookup, inlined into
+    /// the caller. Anything else takes the cold fault path.
+    #[inline(always)]
     pub fn read_u64(&mut self, addr: usize) -> u64 {
         let (p, off) = self.locate(addr);
-        if !self.inner.pages.readable_now(p) {
-            self.ensure_access(p, Access::Read);
+        match self.inner.pages.readable_frame(p) {
+            Some(frame) => frame.read_u64(off),
+            None => self.read_slow(p, off),
         }
-        self.frame(p).read_u64(off)
     }
 
     /// Write a u64 at byte address `addr` in the shared space.
-    #[inline]
+    #[inline(always)]
     pub fn write_u64(&mut self, addr: usize, v: u64) {
         let (p, off) = self.locate(addr);
-        if !self.inner.pages.writable_now(p) {
-            self.ensure_access(p, Access::Write);
+        match self.inner.pages.writable_frame(p) {
+            Some(frame) => frame.write_u64(off, v),
+            None => self.write_slow(p, off, v),
         }
-        self.frame_mut(p).write_u64(off, v);
+    }
+
+    /// The faulting read: run the protocol, then load.
+    #[cold]
+    #[inline(never)]
+    fn read_slow(&mut self, page: PageId, off: usize) -> u64 {
+        self.ensure_access(page, Access::Read);
+        self.frame(page).read_u64(off)
+    }
+
+    /// The faulting write: run the protocol, then store.
+    #[cold]
+    #[inline(never)]
+    fn write_slow(&mut self, page: PageId, off: usize, v: u64) {
+        self.ensure_access(page, Access::Write);
+        self.frame_mut(page).write_u64(off, v);
     }
 
     /// Read an f64 at byte address `addr`.
@@ -397,7 +416,7 @@ impl HlrcNode {
         self.write_u64(addr, v.to_bits());
     }
 
-    #[inline]
+    #[inline(always)]
     fn locate(&self, addr: usize) -> (PageId, usize) {
         let l = self.inner.cfg.layout;
         (l.page_of(addr), l.offset_of(addr))
@@ -937,18 +956,9 @@ impl HlrcNode {
     /// remote copies, extend the notice history, merge the clock.
     fn apply_sync_notices(&mut self, kind: SyncKind, notices: &[WriteNotice], vc_in: &VClock) {
         let me = self.inner.me() as u32;
-        // Freshness is judged against the clock as it stood *before*
-        // this batch: several notices share one interval (one per page
-        // written in it), and observing the interval at the first one
-        // must not mask its siblings.
-        let vc_before = self.inner.vc.clone();
-        let mut fresh: Vec<WriteNotice> = Vec::new();
+        let fresh = fresh_notices(&self.inner.vc, notices);
         let mut invalidated: BTreeSet<PageId> = BTreeSet::new();
-        for n in notices {
-            if vc_before.covers(n.interval) || fresh.contains(n) {
-                continue;
-            }
-            fresh.push(*n);
+        for n in &fresh {
             self.inner.vc.observe(n.interval);
             self.inner.history.push(*n);
             if n.interval.node != me && !self.inner.pages.is_home(n.page) {
@@ -1714,10 +1724,31 @@ mod tests {
                                     e.frame = (state != PageState::Invalid)
                                         .then(|| PageFrame::zeroed(64));
                                 }
+                                let pages = &mut node.inner.pages;
                                 let fast = match access {
-                                    Access::Read => node.inner.pages.readable_now(page),
-                                    Access::Write => node.inner.pages.writable_now(page),
+                                    Access::Read => pages.readable_now(page),
+                                    Access::Write => pages.writable_now(page),
                                 };
+                                // The one-lookup accessors agree with the
+                                // predicate and hand out the entry's frame.
+                                let entry_frame = pages.entry(page).frame.as_ref();
+                                let entry_frame = entry_frame.map(|f| f as *const PageFrame);
+                                let frame = match access {
+                                    Access::Read => {
+                                        pages.readable_frame(page).map(|f| f as *const PageFrame)
+                                    }
+                                    Access::Write => {
+                                        pages.writable_frame(page).map(|f| f as *const PageFrame)
+                                    }
+                                };
+                                let case = format!(
+                                    "home {home} {state:?} prefetched {prefetched} \
+                                     dirty {dirty} {access:?}"
+                                );
+                                assert_eq!(frame.is_some(), fast, "{case}");
+                                if fast {
+                                    assert_eq!(frame, entry_frame, "{case}");
+                                }
                                 let before = (
                                     node.inner.ctx.now(),
                                     node.inner.ctx.stats,
@@ -1731,12 +1762,7 @@ mod tests {
                                     node.inner.ctx.trace_events().len(),
                                     node.inner.pages.entry(page).clone(),
                                 );
-                                assert_eq!(
-                                    fast,
-                                    before == after,
-                                    "home {home} {state:?} prefetched {prefetched} \
-                                     dirty {dirty} {access:?}: predicate {fast}"
-                                );
+                                assert_eq!(fast, before == after, "{case}: predicate {fast}");
                                 probes += 1;
                             }
                         }

@@ -142,8 +142,7 @@ impl PageTable {
     /// `HlrcNode::ensure_access(page, Access::Read)` is a no-op.
     #[inline]
     pub fn readable_now(&self, page: PageId) -> bool {
-        let e = &self.entries[page as usize];
-        e.home == self.me || (!e.prefetched && e.state != PageState::Invalid)
+        Self::readable(&self.entries[page as usize], self.me)
     }
 
     /// Can `page` be written with no protocol action? A home copy once
@@ -153,8 +152,40 @@ impl PageTable {
     /// is a no-op.
     #[inline]
     pub fn writable_now(&self, page: PageId) -> bool {
+        Self::writable(&self.entries[page as usize], self.me)
+    }
+
+    /// The frame of `page` if [`PageTable::readable_now`] holds: the
+    /// access check and the frame with one index into the table.
+    #[inline(always)]
+    pub fn readable_frame(&self, page: PageId) -> Option<&PageFrame> {
         let e = &self.entries[page as usize];
-        if e.home == self.me {
+        if Self::readable(e, self.me) {
+            e.frame.as_ref()
+        } else {
+            None
+        }
+    }
+
+    /// The frame of `page` if [`PageTable::writable_now`] holds.
+    #[inline(always)]
+    pub fn writable_frame(&mut self, page: PageId) -> Option<&mut PageFrame> {
+        let e = &mut self.entries[page as usize];
+        if Self::writable(e, self.me) {
+            e.frame.as_mut()
+        } else {
+            None
+        }
+    }
+
+    #[inline(always)]
+    fn readable(e: &PageEntry, me: NodeId) -> bool {
+        e.home == me || (!e.prefetched && e.state != PageState::Invalid)
+    }
+
+    #[inline(always)]
+    fn writable(e: &PageEntry, me: NodeId) -> bool {
+        if e.home == me {
             e.dirty
         } else {
             !e.prefetched && e.state == PageState::Writable

@@ -68,17 +68,14 @@ impl PageFrame {
         self.data.copy_from_slice(&src.data);
     }
 
-    #[inline]
+    #[inline(always)]
     fn check_aligned(&self, offset: usize, size: usize) {
-        assert!(
-            offset + size <= self.data.len(),
-            "access at {offset}+{size} beyond page of {}",
-            self.data.len()
-        );
-        assert!(
-            offset.is_multiple_of(size),
-            "misaligned {size}-byte access at offset {offset}"
-        );
+        if offset + size > self.data.len() {
+            beyond_page(offset, size, self.data.len());
+        }
+        if !offset.is_multiple_of(size) {
+            misaligned(offset, size);
+        }
     }
 
     #[inline]
@@ -120,6 +117,18 @@ impl PageFrame {
         self.check_aligned(offset, 4);
         self.data[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
     }
+}
+
+#[cold]
+#[inline(never)]
+fn beyond_page(offset: usize, size: usize, len: usize) -> ! {
+    panic!("access at {offset}+{size} beyond page of {len}")
+}
+
+#[cold]
+#[inline(never)]
+fn misaligned(offset: usize, size: usize) -> ! {
+    panic!("misaligned {size}-byte access at offset {offset}")
 }
 
 impl fmt::Debug for PageFrame {
